@@ -12,7 +12,7 @@ performance model (:mod:`repro.sim.fastmodel`) reuses this module.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import ArchConfig
 from repro.compiler.geometry import NodeGeometry
@@ -47,6 +47,8 @@ class CostModel:
     def __init__(self, arch: ArchConfig):
         self.arch = arch
         self.energy = arch.energy
+        #: keyed by the geometry object itself, so a model reused across
+        #: graphs never serves one graph's estimate for another's node.
         self._node_cache: Dict[tuple, NodeEstimate] = {}
         core = arch.chip.core
         self.local_bw = core.local_memory.bandwidth_bytes_per_cycle
@@ -160,8 +162,7 @@ class CostModel:
     ) -> NodeEstimate:
         """Latency and energy of one node at duplication factor ``replicas``."""
         key = (
-            geom.node.name, replicas, read_global, write_global,
-            same_stage_consumers,
+            geom, replicas, read_global, write_global, same_stage_consumers,
         )
         cached = self._node_cache.get(key)
         if cached is not None:
@@ -291,42 +292,41 @@ class CostModel:
         return cat
 
     # -- stage-level estimate ---------------------------------------------------
-    def estimate_stage(
+    def stage_structure(
         self,
         geoms: List[NodeGeometry],
-        replicas: Dict[str, int],
         spill: Optional[Dict[str, bool]] = None,
-    ) -> "StageEstimate":
-        """Pipelined stage estimate.
+    ) -> List[Tuple[bool, bool, int]]:
+        """Each node's replica-invariant ``(read_global, write_global,
+        same_stage_consumers)`` within the stage, in O(total inputs).
 
-        Nodes in a stage form an inter-operator pipeline: steady-state
-        latency is set by the slowest node, plus one pipeline-fill term per
-        node, plus the (parallel) weight loads.  ``spill`` marks nodes whose
-        output must also be written to global memory (consumed by a later
-        stage or a graph output); when omitted every node spills.
+        A node reads global memory unless its main input is produced in
+        the stage, writes it when ``spill`` says so (default: it spills),
+        and streams its output rows to every other stage node that reads
+        them (a reader counts once even when it reads the tensor twice).
         """
         spill = spill if spill is not None else {}
         outputs_in_stage = {g.node.output for g in geoms}
-        node_costs: List[NodeEstimate] = []
+        readers: Dict[str, int] = {}
         for geom in geoms:
-            main = geom.node.main_input
-            read_global = main.tensor not in outputs_in_stage
-            consumers = sum(
-                1
-                for other in geoms
-                if other is not geom
-                and any(ni.tensor == geom.node.output for ni in other.node.inputs)
+            for tensor in {ni.tensor for ni in geom.node.inputs}:
+                readers[tensor] = readers.get(tensor, 0) + 1
+        return [
+            (
+                geom.node.main_input.tensor not in outputs_in_stage,
+                spill.get(geom.node.name, True),
+                readers.get(geom.node.output, 0),
             )
-            write_global = spill.get(geom.node.name, True)
-            node_costs.append(
-                self.estimate_node(
-                    geom,
-                    replicas.get(geom.node.name, 1),
-                    read_global=read_global,
-                    write_global=write_global,
-                    same_stage_consumers=consumers,
-                )
-            )
+            for geom in geoms
+        ]
+
+    def combine_stage(self, node_costs: List[NodeEstimate]) -> "StageEstimate":
+        """Aggregate node estimates, in stage order, into a stage estimate.
+
+        Nodes in a stage form an inter-operator pipeline: steady-state
+        latency is set by the slowest node, plus one pipeline-fill term per
+        node, plus the (parallel) weight loads.
+        """
         if not node_costs:
             return StageEstimate(0, 0.0, [])
         steady = max(c.latency for c in node_costs)
@@ -338,6 +338,25 @@ class CostModel:
         energy = sum(c.energy_pj for c in node_costs)
         energy += latency * self.energy.static_pj_per_cycle(self.arch.chip.clock_mhz)
         return StageEstimate(latency, energy, node_costs)
+
+    def estimate_stage(
+        self,
+        geoms: List[NodeGeometry],
+        replicas: Dict[str, int],
+        spill: Optional[Dict[str, bool]] = None,
+    ) -> "StageEstimate":
+        """Pipelined stage estimate at the given replica counts.
+
+        ``spill`` marks nodes whose output must also be written to global
+        memory (consumed by a later stage or a graph output); when omitted
+        every node spills.  See :meth:`stage_structure` and
+        :meth:`combine_stage`.
+        """
+        structure = self.stage_structure(geoms, spill)
+        return self.combine_stage([
+            self.estimate_node(geom, replicas.get(geom.node.name, 1), *flags)
+            for geom, flags in zip(geoms, structure)
+        ])
 
 
 @dataclass

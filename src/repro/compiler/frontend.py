@@ -110,6 +110,13 @@ class CondensedGraph:
         #: graph input tensors (produced by INPUT operators).
         self.source_tensors: Set[str] = set()
         self._build()
+        #: tensor -> indices of the nodes reading it, ascending, each
+        #: reader listed once even when it reads the tensor twice.
+        self._readers: Dict[str, List[int]] = {}
+        for node in self.nodes:
+            for tensor in {ni.tensor for ni in node.inputs}:
+                self._readers.setdefault(tensor, []).append(node.index)
+        self._graph_outputs = {self.resolve(t) for t in graph.outputs}
 
     # -- construction -------------------------------------------------------
     def resolve(self, tensor: str) -> str:
@@ -236,16 +243,11 @@ class CondensedGraph:
         return [self.deps(node) for node in self.nodes]
 
     def consumers(self, node: CondensedNode) -> List[int]:
-        """Indices of nodes consuming this node's output."""
-        return sorted(
-            other.index
-            for other in self.nodes
-            if any(ni.tensor == node.output for ni in other.inputs)
-        )
+        """Indices of nodes consuming this node's output, ascending."""
+        return list(self._readers.get(node.output, ()))
 
     def is_graph_output(self, node: CondensedNode) -> bool:
-        resolved = {self.resolve(t) for t in self.graph.outputs}
-        return node.output in resolved
+        return node.output in self._graph_outputs
 
     def summary(self) -> str:
         cim = sum(1 for node in self.nodes if node.is_cim)

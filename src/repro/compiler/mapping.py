@@ -42,28 +42,36 @@ def optimal_mapping(
     if not duplicate:
         return replicas, estimate
 
+    # The stage's structure does not depend on replica counts, so each
+    # trial re-prices only the node it grants one more replica.
+    structure = cost_model.stage_structure(geoms, spill)
     cores_used = base
     blocked = set()
     # Greedy duplication: relieve the pipeline bottleneck while it helps.
     for _ in range(4 * total_cores):
         candidates = [
-            (cost.latency, geom)
-            for cost, geom in zip(estimate.node_costs, geoms)
+            position
+            for position, geom in enumerate(geoms)
             if geom.node.name not in blocked
             and replicas[geom.node.name] < geom.max_replicas
             and cores_used + geom.cores_min <= total_cores
         ]
         if not candidates:
             break
-        candidates.sort(key=lambda item: (-item[0], item[1].node.name))
+        candidates.sort(key=lambda position: (
+            -estimate.node_costs[position].latency, geoms[position].node.name
+        ))
         improved = False
-        for _, geom in candidates:
+        for position in candidates:
+            geom = geoms[position]
             name = geom.node.name
-            trial = dict(replicas)
-            trial[name] += 1
-            trial_estimate = cost_model.estimate_stage(geoms, trial, spill)
+            node_costs = list(estimate.node_costs)
+            node_costs[position] = cost_model.estimate_node(
+                geom, replicas[name] + 1, *structure[position]
+            )
+            trial_estimate = cost_model.combine_stage(node_costs)
             if trial_estimate.cost < estimate.cost:
-                replicas = trial
+                replicas[name] += 1
                 estimate = trial_estimate
                 cores_used += geom.cores_min
                 improved = True

@@ -274,20 +274,15 @@ def _analyze_plan_impl(
     time_cursor = 0
 
     for stage in plan.stages:
-        outputs_in_stage = {node.output for node in stage.nodes}
+        geoms = [plan.geometries[node.name] for node in stage.nodes]
+        structure = cm.stage_structure(geoms, stage.spill)
         ready: Dict[str, np.ndarray] = {}
         stage_end = time_cursor
-        for node in stage.nodes:  # topological order within the stage
-            geom = plan.geometries[node.name]
+        # topological order within the stage
+        for node, geom, (read_global, write_global, consumers) in zip(
+            stage.nodes, geoms, structure
+        ):
             mapping = stage.mappings[node.name]
-            read_global = node.main_input.tensor not in outputs_in_stage
-            consumers = sum(
-                1
-                for other in stage.nodes
-                if other is not node
-                and any(ni.tensor == node.output for ni in other.inputs)
-            )
-            write_global = stage.spill[node.name]
             row_cost = cm.row_cycles(geom, read_global, write_global, consumers)
             load = cm.load_cycles(geom)
             hoisted_replicas = resident_replicas.get(node.name, frozenset())

@@ -13,6 +13,8 @@ from repro.compiler import (
     optimal_mapping,
     partition_with_strategy,
 )
+from repro.compiler.partition import _spill_flags
+from repro.compiler.pipeline import plan_graph
 from repro.compiler.plan import assign_cores_and_rows, split_rows
 from repro.config import default_arch, small_test_arch
 from repro.errors import CapacityError, CompileError
@@ -133,6 +135,32 @@ class TestPartitioning:
             partition_with_strategy("magic", cgraph, geoms, arch)
 
 
+class TestCostModel:
+    def test_node_memo_is_per_geometry(self, table1_arch):
+        """A cost model reused across graphs never serves one graph's
+        node estimates for another graph's same-named node."""
+        shared = CostModel(table1_arch)
+        plan_graph(get_model("resnet18", input_size=64), table1_arch,
+                   "duplication", cost_model=shared)
+        graph = get_model("resnet18", input_size=224)
+        reused = plan_graph(graph, table1_arch, "duplication",
+                            cost_model=shared)
+        fresh = plan_graph(graph, table1_arch, "duplication")
+        assert reused.partition.total_latency == fresh.partition.total_latency
+        assert reused.partition.total_latency == 363962
+
+
+    def test_stage_structure_counts_each_reader_once(self, arch):
+        b = GraphBuilder("doubled_read")
+        y = b.conv(b.input((4, 4, 8)), 8, 3, 1, 1, name="conv")
+        b.output(b.add(y, y, name="add"))  # add reads conv's output twice
+        cgraph, geoms = _geoms(b.build(), arch)
+        stage = [geoms[node.name] for node in cgraph.nodes]
+        spill = {"conv": False, "add": True}
+        structure = CostModel(arch).stage_structure(stage, spill)
+        assert structure == [(True, False, 1), (False, True, 0)]
+
+
 class TestMapping:
     def test_respects_core_budget(self, arch):
         cgraph, geoms = _geoms("tiny_resnet", arch)
@@ -161,6 +189,32 @@ class TestMapping:
             cores = [c for m in stage.mappings.values() for c in m.all_cores]
             assert len(cores) == len(set(cores))
             assert max(cores) < arch.num_cores
+
+    @pytest.mark.parametrize("model, kwargs, arch_name", [
+        ("tiny_resnet", {}, "small"),
+        ("mobilenetv2", {"input_size": 64}, "table1"),
+    ])
+    def test_incremental_trials_match_full_estimate(
+        self, model, kwargs, arch_name
+    ):
+        """The estimate the greedy duplication returns is exactly the
+        full stage estimate at the replicas it chose."""
+        arch = small_test_arch() if arch_name == "small" else default_arch()
+        cgraph, geoms = _geoms(model, arch, **kwargs)
+        result = dp_partition(cgraph, geoms, arch, CostModel(arch))
+        duplicated = False
+        for stage in result.stages:
+            stage_geoms = [geoms[cgraph.nodes[i].name] for i in stage.node_indices]
+            spill = _spill_flags(cgraph, stage.node_indices)
+            replicas, estimate = optimal_mapping(
+                stage_geoms, arch, CostModel(arch), spill=spill
+            )
+            full = CostModel(arch).estimate_stage(stage_geoms, replicas, spill)
+            assert estimate.latency == full.latency
+            assert estimate.energy_pj == full.energy_pj
+            assert estimate.node_costs == full.node_costs
+            duplicated |= any(r > 1 for r in replicas.values())
+        assert duplicated
 
     def test_replica_rows_partition_output(self, arch):
         cgraph, geoms = _geoms("tiny_resnet", arch)

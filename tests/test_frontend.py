@@ -5,8 +5,20 @@ import pytest
 from repro.compiler import condense
 from repro.errors import CompileError
 from repro.graph import GraphBuilder
-from repro.graph.models import get_model
+from repro.graph.models import available_models, get_model
 from repro.graph.ops import OpKind
+
+
+def _aliased_residual_graph(name, seed):
+    """add(relu(conv(p)), p): the residual aliases the conv's input."""
+    b = GraphBuilder(name, seed=seed)
+    x = b.input((8, 8, 4))
+    p = b.maxpool(x, 2, 2, name="pool")
+    y = b.conv(p, 4, 3, 1, 1, name="conv")
+    y = b.relu(y, name="relu")
+    y = b.add(y, p, name="add")
+    b.output(y)
+    return b.build()
 
 
 class TestCondensation:
@@ -32,14 +44,7 @@ class TestCondensation:
         row stream cannot serve two differently-paced readers over one
         channel -- rows land in the wrong buffers and outputs corrupt.
         """
-        b = GraphBuilder("aliased_residual", seed=1)
-        x = b.input((8, 8, 4))
-        p = b.maxpool(x, 2, 2, name="pool")
-        y = b.conv(p, 4, 3, 1, 1, name="conv")
-        y = b.relu(y, name="relu")
-        y = b.add(y, p, name="add")
-        b.output(y)
-        cg = condense(b.build())
+        cg = condense(_aliased_residual_graph("aliased_residual", seed=1))
         add = next(n for n in cg.nodes if n.anchor.kind is OpKind.ADD)
         assert add.name == "add"  # standalone, not fused into conv
         conv = next(n for n in cg.nodes if n.name == "conv")
@@ -48,14 +53,8 @@ class TestCondensation:
     def test_aliased_residual_graph_validates_bit_exactly(self, arch):
         from repro import run_workflow
 
-        b = GraphBuilder("aliased_residual_e2e", seed=2)
-        x = b.input((8, 8, 4))
-        p = b.maxpool(x, 2, 2, name="pool")
-        y = b.conv(p, 4, 3, 1, 1, name="conv")
-        y = b.relu(y, name="relu")
-        y = b.add(y, p, name="add")
-        b.output(y)
-        result = run_workflow(b.build(), arch=arch, strategy="dp")
+        graph = _aliased_residual_graph("aliased_residual_e2e", seed=2)
+        result = run_workflow(graph, arch=arch, strategy="dp")
         assert result.validated
 
     def test_pool_is_standalone_vector_node(self):
@@ -98,13 +97,32 @@ class TestCondensation:
         assert spec.rows_needed(2, 4, 100) == range(1, 5)
         assert spec.rows_needed(99, 100, 100) == range(98, 100)
 
-    def test_consumers_and_outputs(self):
-        cg = condense(get_model("tiny_mlp"))
-        fc1 = next(n for n in cg.nodes if n.name == "fc1")
-        fc2 = next(n for n in cg.nodes if n.name == "fc2")
-        assert fc2.index in cg.consumers(fc1)
-        assert cg.is_graph_output(fc2)
-        assert not cg.is_graph_output(fc1)
+    @pytest.mark.parametrize(
+        "model", [*available_models(), "aliased_residual", "doubled_read"]
+    )
+    def test_consumers_and_outputs(self, model):
+        """The reader index agrees with a brute-force scan on every node."""
+        if model == "aliased_residual":
+            graph = _aliased_residual_graph("aliased_residual", seed=1)
+        elif model == "doubled_read":
+            # add(y, y): one node reads y twice and is still one reader
+            b = GraphBuilder("doubled_read")
+            y = b.conv(b.input((4, 4, 8)), 8, 3, 1, 1, name="conv")
+            b.output(b.add(y, y, name="add"))
+            graph = b.build()
+        else:
+            graph = get_model(model, input_size=32, num_classes=10)
+        cg = condense(graph)
+        outputs = {cg.resolve(t) for t in graph.outputs}
+        for node in cg.nodes:
+            expected = sorted(
+                other.index
+                for other in cg.nodes
+                if any(ni.tensor == node.output for ni in other.inputs)
+            )
+            assert cg.consumers(node) == expected
+            assert cg.is_graph_output(node) == (node.output in outputs)
+        assert any(cg.is_graph_output(node) for node in cg.nodes)
 
     def test_empty_model_rejected(self):
         b = GraphBuilder("empty")
