@@ -62,6 +62,7 @@ from repro.errors import ConfigError, ReproError
 from repro.explore import SweepSpec, run_sweep, spot_check, strategy_comparison
 from repro.explore_cache import ResultCache, default_cache_dir
 from repro.graph.models import available_models
+from repro.serve import FLEET_POLICIES
 
 _PRESETS = {"default": default_arch, "small": small_test_arch}
 
@@ -828,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="serve through a fleet of R identical "
                                  "replicas fed from one arrival stream "
                                  "(default 1)")
-        parser.add_argument("--policy", choices=("rr", "jsq"), default="rr",
+        parser.add_argument("--policy", choices=FLEET_POLICIES, default="rr",
                             help="fleet dispatch policy: round-robin or "
                                  "join-shortest-queue (with --replicas > 1)")
         parser.add_argument("--batch", type=int, default=batch_default,

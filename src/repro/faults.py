@@ -21,12 +21,12 @@ invariant the engine itself asserts::
 
     submitted == completed + dropped
 
-Timing faults reuse the exact streaming recurrence: each replica's
-admission mirror applies the same per-shard inner loop as
-:func:`repro.sim.multichip.streaming_schedule`, and the plan's
-:meth:`FaultPlan.schedule_hooks` plug straight into that function's
-``service_time`` / ``link_time`` parameters, so a cycle-exact replay of
-one replica's admitted attempts reproduces the engine's predicted
+Timing faults reuse the exact streaming recurrence: each replica
+admits through its own :class:`repro.sim.multichip.PipelineState`, the
+kernel behind :func:`repro.sim.multichip.streaming_schedule`, and the
+plan's :meth:`FaultPlan.schedule_hooks` plug straight into its
+``service_time`` / ``link_time`` hooks, so a cycle-exact replay of one
+replica's admitted attempts reproduces the engine's predicted
 start/finish cycles exactly.  An empty plan with no retry policy is the
 identity: :class:`repro.serve.Fleet` routes it through the unfaulted
 PR-6 path, bit-identical in both tiers.
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import InterChipConfig
 from repro.errors import FaultError, SimulationError
-from repro.sim.multichip import TransferEdge
+from repro.sim.multichip import PipelineState, TransferEdge, _Dispatcher
 
 #: Why a request was dropped (the graceful-degradation taxonomy).
 DROP_DEADLINE = "deadline"
@@ -554,88 +554,6 @@ class AttemptRecord:
         return self.status != "crashed"
 
 
-class _FaultyReplicaState:
-    """One replica's admission mirror under a fault plan.
-
-    The same incremental recurrence as
-    :class:`repro.serve._ReplicaState`, with the plan's timing hooks
-    applied -- so replaying the admitted dispatch cycles through
-    :func:`repro.sim.multichip.streaming_schedule` with the same hooks
-    reproduces these finish cycles exactly (the cycle-exact tier
-    contract).
-    """
-
-    def __init__(
-        self,
-        row: Sequence[int],
-        edges: Sequence[TransferEdge],
-        link: InterChipConfig,
-        plan: FaultPlan,
-        replica: int,
-        load_offset: int = 0,
-    ):
-        self.row = list(row)
-        self.edges = list(edges)
-        self.link = link
-        self.replica = replica
-        #: Resident-weights sessions: a cold replica cannot start service
-        #: before its weight-load phase completes; every dispatch onto it
-        #: is clamped to this cycle (0 = warm / non-resident, identity).
-        self.load_offset = int(load_offset)
-        self.crash = plan.crash_cycle(replica)
-        self.service_time, self.link_time = plan.schedule_hooks(
-            replica, link
-        )
-        self.prev_finish = [0] * len(self.row)
-        self.link_free: Dict[Tuple[int, int], int] = {}
-        self.in_flight: List[int] = []  #: effective finish cycles
-
-    def alive_at(self, cycle: int) -> bool:
-        return self.crash is None or cycle < self.crash
-
-    def admit(self, release: int) -> Tuple[int, int]:
-        """Account one attempt dispatched at ``release``.
-
-        Returns ``(start, finish)`` where ``start`` is the shard-0 entry
-        cycle and ``finish`` the last-shard completion cycle, ignoring
-        any crash (the caller decides whether the crash kills it).
-        """
-        n = len(self.row)
-        arrival = [0] * n
-        if n:
-            arrival[0] = release
-        starts = [0] * n
-        finishes = [0] * n
-        for k in range(n):
-            starts[k] = max(arrival[k], self.prev_finish[k])
-            occupancy = self.row[k]
-            if self.service_time is not None:
-                occupancy = self.service_time(k, starts[k], occupancy)
-            finishes[k] = starts[k] + occupancy
-            for src, dst, nbytes in self.edges:
-                if src != k:
-                    continue
-                depart = max(
-                    finishes[k], self.link_free.get((src, dst), 0)
-                )
-                if self.link_time is None:
-                    ser = self.link.serialization_cycles(nbytes)
-                    lat = self.link.transfer_cycles(nbytes)
-                else:
-                    ser, lat = self.link_time(src, dst, depart, nbytes)
-                self.link_free[(src, dst)] = depart + ser
-                arrive = depart + lat
-                arrival[dst] = max(arrival[dst], arrive)
-        self.prev_finish = finishes
-        finish = max(finishes) if finishes else release
-        effective = finish if self.crash is None else min(finish, self.crash)
-        self.in_flight.append(effective)
-        return (starts[0] if n else release), finish
-
-    def queue_depth(self, now: int) -> int:
-        return sum(1 for f in self.in_flight if f > now)
-
-
 @dataclass
 class FaultSchedule:
     """The failover engine's complete, deterministic account of one run.
@@ -744,19 +662,25 @@ class FailoverEngine:
         self.policy = policy
         self.replicas = int(replicas)
         self._deadline = self.retry_policy.per_request_deadline_cycles
-        if load_offsets is None:
-            load_offsets = [0] * self.replicas
-        elif len(load_offsets) != self.replicas:
+        if load_offsets is not None and len(load_offsets) != self.replicas:
             raise SimulationError(
                 f"load_offsets has {len(load_offsets)} entries for "
                 f"{self.replicas} replicas"
             )
-        self.states = [
-            _FaultyReplicaState(
-                row, edges, link, self.plan, r, load_offset=load_offsets[r]
-            )
-            for r in range(self.replicas)
+        self._crash = [
+            self.plan.crash_cycle(r) for r in range(self.replicas)
         ]
+        self._dispatcher = _Dispatcher(
+            policy,
+            [
+                PipelineState(
+                    len(row), edges, link, *self.plan.schedule_hooks(r, link)
+                )
+                for r in range(self.replicas)
+            ],
+            row,
+            load_offsets,
+        )
         self.releases: List[int] = []
         self.assignments: List[int] = []
         self.finishes: List[int] = []
@@ -768,7 +692,6 @@ class FailoverEngine:
         ]
         self.retries = 0
         self.makespan = 0
-        self._rr_cursor = 0
         self._heap: List[Tuple[int, int, int]] = []
 
     def push(self, release: int) -> int:
@@ -839,75 +762,43 @@ class FailoverEngine:
         if self._deadline is not None and ready > release + self._deadline:
             return self._terminal(request, DROP_DEADLINE)
         alive = [
-            r for r in range(self.replicas)
-            if self.states[r].alive_at(ready)
+            r for r, crash in enumerate(self._crash)
+            if crash is None or ready < crash
         ]
         if not alive:
             return self._terminal(request, DROP_NO_REPLICA)
-        if self.policy == "jsq":
-            choice = min(
-                alive, key=lambda r: (self.states[r].queue_depth(ready), r)
-            )
-        else:
-            choice = alive[self._rr_cursor % len(alive)]
-            self._rr_cursor += 1
-        state = self.states[choice]
+        choice = self._dispatcher.choose(ready, alive)
         self.attempt_counts[request] = attempt
-        dispatch = max(ready, state.load_offset)
-        start, finish = state.admit(dispatch)
-
-        if state.crash is not None and finish > state.crash:
-            record = AttemptRecord(
-                request, attempt, choice, dispatch, state.crash, "crashed",
-                start_cycle=start,
-            )
-            self.attempts.append(record)
-            self.replica_attempts[choice].append(record)
-            self.makespan = max(self.makespan, state.crash)
-            if attempt < rp.max_attempts:
-                self.retries += 1
-                heappush(
-                    self._heap,
-                    (state.crash + rp.backoff_cycles, request, attempt + 1),
-                )
-                return None
-            return self._terminal(request, DROP_MAX_ATTEMPTS)
-
-        self.makespan = max(self.makespan, finish)
-        if self.plan.attempt_fails(request, attempt):
-            record = AttemptRecord(
-                request, attempt, choice, dispatch, finish, "transient",
-                start_cycle=start,
-            )
-            self.attempts.append(record)
-            self.replica_attempts[choice].append(record)
-            if attempt < rp.max_attempts:
-                self.retries += 1
-                heappush(
-                    self._heap,
-                    (finish + rp.backoff_cycles, request, attempt + 1),
-                )
-                return None
-            return self._terminal(request, DROP_MAX_ATTEMPTS)
-
-        if self._deadline is not None and finish > release + self._deadline:
-            record = AttemptRecord(
-                request, attempt, choice, dispatch, finish, "late",
-                start_cycle=start,
-            )
-            self.attempts.append(record)
-            self.replica_attempts[choice].append(record)
-            return self._terminal(request, DROP_DEADLINE)
-
+        dispatch, start, finish = self._dispatcher.admit(choice, ready)
+        crash = self._crash[choice]
+        if crash is not None and finish > crash:
+            status, end = "crashed", crash
+        elif self.plan.attempt_fails(request, attempt):
+            status, end = "transient", finish
+        elif self._deadline is not None and finish > release + self._deadline:
+            status, end = "late", finish
+        else:
+            status, end = "completed", finish
         record = AttemptRecord(
-            request, attempt, choice, dispatch, finish, "completed",
+            request, attempt, choice, dispatch, end, status,
             start_cycle=start,
         )
         self.attempts.append(record)
         self.replica_attempts[choice].append(record)
-        self.assignments[request] = choice
-        self.finishes[request] = finish
-        return self._terminal(request, "completed")
+        self.makespan = max(self.makespan, end)
+        if status == "completed":
+            self.assignments[request] = choice
+            self.finishes[request] = finish
+            return self._terminal(request, "completed")
+        if status == "late":
+            return self._terminal(request, DROP_DEADLINE)
+        if attempt < rp.max_attempts:
+            self.retries += 1
+            heappush(
+                self._heap, (end + rp.backoff_cycles, request, attempt + 1)
+            )
+            return None
+        return self._terminal(request, DROP_MAX_ATTEMPTS)
 
     def finish(self) -> FaultSchedule:
         """Drain the queue and return the complete account of the run."""
@@ -947,8 +838,9 @@ def run_fault_schedule(
     is what makes the availability law tier-equivalent.  Dispatch:
     ``"rr"`` rotates over the replicas *alive at dispatch time*
     (degenerating to ``i % R`` while all survive), ``"jsq"`` joins the
-    live replica with the fewest predicted in-flight attempts.  Events
-    are processed in ``(ready_cycle, request, attempt)`` order, so the
+    live replica with the fewest predicted in-flight attempts; any other
+    policy raises :class:`~repro.errors.ConfigError`.  Events are
+    processed in ``(ready_cycle, request, attempt)`` order, so the
     outcome is a pure function of the inputs.
 
     ``load_offsets[r]`` (resident-weights sessions) delays replica

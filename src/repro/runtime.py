@@ -12,10 +12,10 @@ a single asyncio task owning all shard occupancy -- and resolves a
 future per request with its completion cycle and latency.
 
 **The admission law is the offline one.**  The scheduler predicts every
-start/finish through the exact incremental mirrors of the batch paths:
-:class:`repro.serve._ReplicaState` (the per-input inner loop of
-:func:`repro.sim.multichip.streaming_schedule`),
-:class:`repro.serve._Dispatcher` (the fleet's rr/jsq routing law), and
+start/finish through the admission kernel the batch paths use:
+:class:`repro.sim.multichip.PipelineState` (the streaming recurrence
+behind :func:`repro.sim.multichip.streaming_schedule`), routed by the
+fleet's rr/jsq choice rule or, under a fault plan, by
 :class:`repro.faults.FailoverEngine` (the health-aware retry engine)
 -- so a drained session replayed offline through
 :class:`~repro.serve.TraceArrivals` is bit-identical to what the live
@@ -254,7 +254,8 @@ class ServerHandle:
         faults: Optional[FaultPlan],
         retry: Optional[RetryPolicy],
     ):
-        from repro.serve import Deployment, Fleet, _Dispatcher, _ReplicaState
+        from repro.serve import Deployment, Fleet
+        from repro.sim.multichip import PipelineState, _Dispatcher
 
         self.server = server
         self.clock = clock
@@ -298,39 +299,31 @@ class ServerHandle:
         # Resident sessions: warmth is frozen at session open (nothing
         # executes before drain), so the load clamp each cold replica's
         # sub-stream will apply offline is known up front.
-        load_done = 0
-        if dep.resident_weights:
-            load_done = dep._resident_load_profile()[0]
         if self._is_fleet:
-            warm = list(server._replica_warm)
+            self._load_offsets = server._load_offsets()
+        elif dep.resident_weights and not dep._resident_loaded:
+            self._load_offsets = [dep._resident_load_profile()[0]]
         else:
-            warm = [dep._resident_loaded]
-        self._load_offsets = [
-            0 if (not dep.resident_weights or warm[r]) else load_done
-            for r in range(self.num_replicas)
-        ]
+            self._load_offsets = [0]
 
         self._engine: Optional[FailoverEngine] = None
         self._dispatcher = None
-        self._mirrors = None
         if engine_needed:
             self._engine = FailoverEngine(
                 row, edges, link, self.num_replicas, policy=self.policy,
-                plan=faults, retry=retry,
-                load_offsets=(
-                    self._load_offsets if dep.resident_weights else None
-                ),
+                plan=faults, retry=retry, load_offsets=self._load_offsets,
             )
             self._attempt_cursor = 0
         else:
-            if self._is_fleet:
-                self._dispatcher = _Dispatcher(
-                    self.policy, self.num_replicas, row, edges, link
-                )
-            self._mirrors = [
-                _ReplicaState(row, edges, link)
-                for _ in range(self.num_replicas)
-            ]
+            self._dispatcher = _Dispatcher(
+                self.policy,
+                [
+                    PipelineState(len(row), edges, link)
+                    for _ in range(self.num_replicas)
+                ],
+                row,
+                self._load_offsets,
+            )
 
         # Live predictions, cross-checked against the offline replay.
         self._releases: List[int] = []
@@ -446,12 +439,7 @@ class ServerHandle:
                 self._admit_unfaulted(request, release)
 
     def _admit_unfaulted(self, request: int, release: int) -> None:
-        if self._dispatcher is not None:
-            replica = self._dispatcher.route(release)
-        else:
-            replica = 0
-        dispatch = max(release, self._load_offsets[replica])
-        start, finish = self._mirrors[replica].admit(dispatch)
+        replica, dispatch, start, finish = self._dispatcher.route(release)
         self._assignments[request] = replica
         self._starts[request] = start
         self._finishes[request] = finish

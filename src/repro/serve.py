@@ -35,7 +35,7 @@ every output bit-identical to an independent single-input run.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,9 +50,12 @@ from repro.faults import (
 from repro.graph.graph import ComputationGraph
 from repro.sim.functional import golden_outputs
 from repro.sim.multichip import (
+    FLEET_POLICIES,  # re-exported: the policies a Fleet accepts
     MultiChipReport,
     MultiChipSimulator,
+    PipelineState,
     TransferEdge,
+    _Dispatcher,
     assemble_stream_report,
     merge_shard_energy,
     steady_state_interval,
@@ -1154,106 +1157,6 @@ class Deployment:
 # Replicated serving: Fleet
 # ---------------------------------------------------------------------------
 
-#: Dispatch policies a :class:`Fleet` understands.
-FLEET_POLICIES = ("rr", "jsq")
-
-
-class _ReplicaState:
-    """Incremental mirror of one replica's streaming-schedule recurrence.
-
-    Admitting an input applies exactly the per-input inner loop of
-    :func:`repro.sim.multichip.streaming_schedule` (same ``prev_finish``
-    per shard, same per-(src, dst) link serialisation), so the predicted
-    finish cycles match what the replica's own submission will compute.
-    Timing is data-independent under per-input isolation (the serving
-    contract), which is what makes a one-input probe row exact for every
-    input.
-    """
-
-    def __init__(self, row: Sequence[int], edges, link):
-        self.row = list(row)
-        self.edges = list(edges)
-        self.link = link
-        self.prev_finish = [0] * len(self.row)
-        self.link_free: Dict[tuple, int] = {}
-        self.finishes: List[int] = []
-
-    def admit(self, release: int) -> Tuple[int, int]:
-        """Account one input released at ``release``.
-
-        Returns ``(start, finish)``: the shard-0 service-entry cycle
-        and the last-shard completion cycle.
-        """
-        n = len(self.row)
-        arrival = [0] * n
-        if n:
-            arrival[0] = release
-        first_start = release
-        finishes = [0] * n
-        for k in range(n):
-            start = max(arrival[k], self.prev_finish[k])
-            if k == 0:
-                first_start = start
-            finishes[k] = start + self.row[k]
-            for src, dst, nbytes in self.edges:
-                if src != k:
-                    continue
-                depart = max(
-                    finishes[k], self.link_free.get((src, dst), 0)
-                )
-                self.link_free[(src, dst)] = (
-                    depart + self.link.serialization_cycles(nbytes)
-                )
-                arrive = depart + self.link.transfer_cycles(nbytes)
-                arrival[dst] = max(arrival[dst], arrive)
-        self.prev_finish = finishes
-        finish = max(finishes) if finishes else release
-        self.finishes.append(finish)
-        return first_start, finish
-
-    def queue_depth(self, now: int) -> int:
-        """Inputs admitted so far that would still be in flight at ``now``."""
-        return sum(1 for f in self.finishes if f > now)
-
-
-class _Dispatcher:
-    """Incremental fleet routing: one release in, one replica index out.
-
-    The exact dispatch law of :meth:`Fleet.submit` (which drives it over
-    the whole release list) factored into a per-release step so the
-    async runtime (:mod:`repro.runtime`) can route wall-clock arrivals
-    online with bit-identical choices: ``"rr"`` sends global input ``i``
-    to replica ``i % R``; ``"jsq"`` joins the replica with the fewest
-    predicted in-flight inputs at release time (ties to the lowest
-    index), predictions from each replica's :class:`_ReplicaState`
-    admission mirror.
-    """
-
-    def __init__(self, policy: str, replicas: int, row, edges, link):
-        if policy not in FLEET_POLICIES:
-            raise ConfigError(
-                f"unknown dispatch policy {policy!r}; expected one of "
-                f"{FLEET_POLICIES}"
-            )
-        self.policy = policy
-        self.replicas = int(replicas)
-        self._count = 0
-        self._states = (
-            [_ReplicaState(row, edges, link) for _ in range(self.replicas)]
-            if policy == "jsq" else None
-        )
-
-    def route(self, release: int) -> int:
-        if self.policy == "rr":
-            choice = self._count % self.replicas
-            self._count += 1
-            return choice
-        depths = [state.queue_depth(release) for state in self._states]
-        choice = min(range(self.replicas), key=lambda r: (depths[r], r))
-        self._states[choice].admit(release)
-        return choice
-
-
 @dataclass
 class FleetReport:
     """One submission's view across all replicas of a :class:`Fleet`.
@@ -1628,7 +1531,10 @@ class Fleet:
     ``policy`` selects the dispatcher: ``"rr"`` (round-robin, input ``i``
     to replica ``i % R``) or ``"jsq"`` (join-shortest-queue on each
     replica's predicted in-flight count at release time, ties to the
-    lowest index).  Each replica's sub-stream then runs through the
+    lowest index; a cold resident replica counts as busy until its
+    weight load completes); both go through the one admission kernel,
+    :class:`repro.sim.multichip.PipelineState`.  Each replica's
+    sub-stream then runs through the
     ordinary :meth:`Deployment.submit` queueing law in the chosen
     fidelity tier, and the per-replica reports merge into a
     :class:`FleetReport`.  With ``replicas=1`` the submission is passed
@@ -1653,11 +1559,7 @@ class Fleet:
     ):
         if replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {replicas}")
-        if policy not in FLEET_POLICIES:
-            raise ConfigError(
-                f"unknown dispatch policy {policy!r}; expected one of "
-                f"{FLEET_POLICIES}"
-            )
+        _Dispatcher.check_policy(policy)
         self.num_replicas = int(replicas)
         self.policy = policy
         if _is_artifact_path(model):
@@ -1736,14 +1638,27 @@ class Fleet:
         """(per-shard cycle row, transfer edges) of one input."""
         return self.deployment._service_profile()
 
+    def _load_offsets(self) -> List[int]:
+        """Per replica, the cycle before which it cannot serve.
+
+        A cold resident-weights replica first pays its weight-load
+        phase; warm and non-resident replicas serve from cycle 0.
+        """
+        if not self.deployment.resident_weights:
+            return [0] * self.num_replicas
+        load_done = self.deployment._resident_load_profile()[0]
+        return [0 if warm else load_done for warm in self._replica_warm]
+
     def _dispatch(self, releases: Sequence[int]) -> List[int]:
-        if self.policy == "rr":
-            return [i % self.num_replicas for i in range(len(releases))]
         row, edges = self._service_profile()
+        states = [
+            PipelineState(len(row), edges, self.arch.interchip)
+            for _ in range(self.num_replicas)
+        ]
         dispatcher = _Dispatcher(
-            self.policy, self.num_replicas, row, edges, self.arch.interchip
+            self.policy, states, row, self._load_offsets()
         )
-        return [dispatcher.route(release) for release in releases]
+        return [dispatcher.route(release)[0] for release in releases]
 
     # -- submission ---------------------------------------------------------
     def submit(
@@ -1925,18 +1840,13 @@ class Fleet:
         row, edges = self._service_profile()
         releases = arrivals.release_cycles(batch, self.arch.chip.cycle_ns)
         load_done, load_energy, load_macs, load_instr = 0, {}, 0, 0
-        offsets = None
         if dep.resident_weights:
             load_done, load_energy, load_macs, load_instr = (
                 dep._resident_load_profile()
             )
-            offsets = [
-                0 if self._replica_warm[r] else load_done
-                for r in range(self.num_replicas)
-            ]
         schedule = run_fault_schedule(
             releases, row, edges, link, self.num_replicas, self.policy,
-            plan, rp, load_offsets=offsets,
+            plan, rp, load_offsets=self._load_offsets(),
         )
         # Which replicas paid their weight-load phase in this submission
         # (cold + received work); crashes then invalidate resident

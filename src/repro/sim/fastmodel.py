@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.compiler.cost import CostModel
 from repro.compiler.plan import ExecutionPlan
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.sim.report import group_energy_mj
 
 
@@ -400,7 +400,7 @@ def serve_arrivals(
     The fast-model mirror of the serving queueing law
     (:mod:`repro.serve`): ``releases[i]`` is the cycle input ``i``
     arrives, and the stream is re-priced through the same
-    :func:`repro.sim.multichip.streaming_schedule` recurrence the
+    :class:`repro.sim.multichip.PipelineState` admission kernel the
     cycle-level :class:`~repro.serve.Deployment` uses, over the
     report's own per-shard occupancies (``shard_cycles`` /
     ``shard_edges``; a report without them is one implicit shard).
@@ -414,41 +414,9 @@ def serve_arrivals(
     all-zero releases the makespan is the batched schedule's, so the
     PR-4 law is the ``releases == [0] * B`` special case.  An empty
     release list yields an empty (zero-cycle, zero-energy) report.
+    This is :func:`serve_fleet` with one replica.
     """
-    from repro.serve import latency_percentile
-    from repro.sim.multichip import streaming_schedule
-
-    if report.batch != 1:
-        raise ConfigError(
-            f"serve_arrivals needs a single-input report, got batch="
-            f"{report.batch}"
-        )
-    batch = len(releases)
-    chip_cycles = list(report.shard_cycles) or [report.cycles]
-    rows = [list(chip_cycles) for _ in range(batch)]
-    _, _, input_finishes, makespan = streaming_schedule(
-        rows, report.shard_edges, link, list(releases)
-    )
-    latencies = [f - r for f, r in zip(input_finishes, releases)]
-    return FastReport(
-        cycles=makespan,
-        energy_breakdown_pj={
-            k: v * batch for k, v in report.energy_breakdown_pj.items()
-        },
-        macs=report.macs * batch,
-        clock_mhz=report.clock_mhz,
-        stage_cycles=dict(report.stage_cycles),
-        batch=batch,
-        steady_interval_cycles=(
-            report.steady_interval_cycles or report.cycles
-        ),
-        shard_cycles=list(report.shard_cycles),
-        shard_edges=list(report.shard_edges),
-        arrival_rate_inf_s=arrival_rate_inf_s,
-        p50_latency_cycles=latency_percentile(latencies, 50),
-        p95_latency_cycles=latency_percentile(latencies, 95),
-        p99_latency_cycles=latency_percentile(latencies, 99),
-    )
+    return serve_fleet(report, releases, link, 1, arrival_rate_inf_s)
 
 
 def steady_state_utilization(
@@ -499,18 +467,17 @@ def serve_fleet(
 ) -> FastReport:
     """Replicated-serving continuation of a single-input report.
 
-    The fast-model mirror of :class:`repro.serve.Fleet` under
-    round-robin dispatch: ``releases`` is split across ``replicas``
-    identical copies of the report's pipeline (input ``i`` goes to
-    replica ``i % replicas``), each replica's sub-stream is re-priced
-    with :func:`repro.sim.multichip.streaming_schedule` at the inputs'
-    *global* release cycles, and the per-input finishes are merged back
-    into release order.  The fleet makespan is the latest replica
-    finish; energy and MACs scale linearly per input as in
-    :func:`serve_arrivals`.  ``replicas == 1`` degenerates to
-    :func:`serve_arrivals` exactly, which is why the sweep engine can
-    treat the replicas axis as a closed-form continuation of the same
-    base analysis that prices the batch and arrival-rate axes.
+    The fast-model mirror of :class:`repro.serve.Fleet`: each release
+    is routed by the fleet's ``policy`` -- ``"rr"`` sends input ``i``
+    to replica ``i % replicas``, ``"jsq"`` to the replica with the
+    fewest in-flight inputs at its release, any other policy raises
+    :class:`~repro.errors.ConfigError` -- and admitted at its *global*
+    release cycle into that replica's copy of the report's pipeline
+    (:class:`repro.sim.multichip.PipelineState`).  The fleet makespan
+    is the latest finish; energy and MACs scale linearly per input.
+    ``replicas == 1`` is :func:`serve_arrivals`, which is why the sweep
+    engine can treat the replicas axis as a closed-form continuation of
+    the same base analysis that prices the batch and arrival-rate axes.
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) and/or ``retry`` (a
     :class:`repro.faults.RetryPolicy`) switch to the shared failover
@@ -524,97 +491,52 @@ def serve_fleet(
     With ``faults=None`` and ``retry=None`` the unfaulted arithmetic is
     untouched -- bit-identical to the pre-fault model.
     """
+    from repro.faults import FaultPlan, run_fault_schedule
     from repro.serve import latency_percentile
-    from repro.sim.multichip import streaming_schedule
+    from repro.sim.multichip import PipelineState, _Dispatcher
 
     if replicas < 1:
         raise ConfigError(f"replicas must be >= 1, got {replicas}")
-    if faults is not None or retry is not None:
-        return _serve_fleet_faulted(
-            report, releases, link, replicas, arrival_rate_inf_s,
-            faults, retry, policy,
-        )
-    if replicas == 1:
-        return serve_arrivals(report, releases, link, arrival_rate_inf_s)
     if report.batch != 1:
         raise ConfigError(
-            f"serve_fleet needs a single-input report, got batch="
-            f"{report.batch}"
+            f"serving continuations need a single-input report, got "
+            f"batch={report.batch}"
         )
-    batch = len(releases)
+    if any(r < 0 for r in releases):
+        raise SimulationError("release cycles must be >= 0")
     chip_cycles = list(report.shard_cycles) or [report.cycles]
-    finishes = [0] * batch
-    makespan = 0
-    for replica in range(replicas):
-        index = list(range(replica, batch, replicas))
-        if not index:
-            continue
-        sub = [releases[i] for i in index]
-        rows = [list(chip_cycles) for _ in index]
-        _, _, sub_finishes, sub_makespan = streaming_schedule(
-            rows, report.shard_edges, link, sub
+    edges = report.shard_edges
+    if faults is not None or retry is not None:
+        schedule = run_fault_schedule(
+            releases, chip_cycles, edges, link, replicas, policy,
+            faults if faults is not None else FaultPlan(), retry,
         )
-        makespan = max(makespan, sub_makespan)
-        for i, finish in zip(index, sub_finishes):
-            finishes[i] = finish
-    latencies = [f - r for f, r in zip(finishes, releases)]
+        completed = schedule.completed
+        finishes = [schedule.finishes[i] for i in completed]
+        charged = sum(1 for a in schedule.attempts if a.full_service)
+        makespan = schedule.makespan
+        dropped, retries = len(schedule.dropped), schedule.retries
+    else:
+        dispatcher = _Dispatcher(
+            policy,
+            [
+                PipelineState(len(chip_cycles), edges, link)
+                for _ in range(replicas)
+            ],
+            chip_cycles,
+        )
+        completed = range(len(releases))
+        finishes = [dispatcher.route(r)[3] for r in releases]
+        charged = len(releases)
+        makespan = max(finishes, default=0)
+        dropped = retries = 0
+    latencies = [f - releases[i] for i, f in zip(completed, finishes)]
     return FastReport(
         cycles=makespan,
         energy_breakdown_pj={
-            k: v * batch for k, v in report.energy_breakdown_pj.items()
+            k: v * charged for k, v in report.energy_breakdown_pj.items()
         },
-        macs=report.macs * batch,
-        clock_mhz=report.clock_mhz,
-        stage_cycles=dict(report.stage_cycles),
-        batch=batch,
-        steady_interval_cycles=(
-            report.steady_interval_cycles or report.cycles
-        ),
-        shard_cycles=list(report.shard_cycles),
-        shard_edges=list(report.shard_edges),
-        arrival_rate_inf_s=arrival_rate_inf_s,
-        p50_latency_cycles=latency_percentile(latencies, 50),
-        p95_latency_cycles=latency_percentile(latencies, 95),
-        p99_latency_cycles=latency_percentile(latencies, 99),
-    )
-
-
-def _serve_fleet_faulted(
-    report: FastReport,
-    releases: Sequence[int],
-    link,
-    replicas: int,
-    arrival_rate_inf_s: Optional[float],
-    faults,
-    retry,
-    policy: str,
-) -> FastReport:
-    """Fault-injected fleet pricing via the shared failover engine."""
-    from repro.faults import FaultPlan, run_fault_schedule
-    from repro.serve import latency_percentile
-
-    if report.batch != 1:
-        raise ConfigError(
-            f"serve_fleet needs a single-input report, got batch="
-            f"{report.batch}"
-        )
-    plan = faults if faults is not None else FaultPlan()
-    chip_cycles = list(report.shard_cycles) or [report.cycles]
-    schedule = run_fault_schedule(
-        releases, chip_cycles, report.shard_edges, link, replicas,
-        policy, plan, retry,
-    )
-    full_attempts = sum(1 for a in schedule.attempts if a.full_service)
-    latencies = [
-        schedule.finishes[i] - releases[i] for i in schedule.completed
-    ]
-    return FastReport(
-        cycles=schedule.makespan,
-        energy_breakdown_pj={
-            k: v * full_attempts
-            for k, v in report.energy_breakdown_pj.items()
-        },
-        macs=report.macs * full_attempts,
+        macs=report.macs * charged,
         clock_mhz=report.clock_mhz,
         stage_cycles=dict(report.stage_cycles),
         batch=len(releases),
@@ -622,13 +544,13 @@ def _serve_fleet_faulted(
             report.steady_interval_cycles or report.cycles
         ),
         shard_cycles=list(report.shard_cycles),
-        shard_edges=list(report.shard_edges),
+        shard_edges=list(edges),
         arrival_rate_inf_s=arrival_rate_inf_s,
         p50_latency_cycles=latency_percentile(latencies, 50),
         p95_latency_cycles=latency_percentile(latencies, 95),
         p99_latency_cycles=latency_percentile(latencies, 99),
-        dropped=len(schedule.dropped),
-        retries=schedule.retries,
+        dropped=dropped,
+        retries=retries,
     )
 
 

@@ -36,19 +36,196 @@ bit-identical to ``B`` independent single-input runs.
 :func:`streaming_schedule` is the timing recurrence and
 :func:`steady_state_interval` its closed-form steady-state law
 (``makespan(B) = makespan(1) + (B-1) * bottleneck``), shared with
-:func:`repro.sim.fastmodel.analyze_sharded`.
+:func:`repro.sim.fastmodel.analyze_sharded`.  The recurrence itself is
+written once, as :class:`PipelineState` (one input at a time): it is
+the admission kernel of every serving path, and the fleet's rr/jsq
+replica-choice rule sits beside it.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ArchConfig, InterChipConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.sim.chip import ChipSimulator
 from repro.sim.report import SimulationReport, group_energy_mj
 
 #: (src_chip, dst_chip, nbytes) -- the schedule-level view of a transfer.
 TransferEdge = Tuple[int, int, int]
+
+
+#: Dispatch policies a replicated fleet understands: round-robin and
+#: join-shortest-queue.
+FLEET_POLICIES = ("rr", "jsq")
+
+
+class PipelineState:
+    """The streaming admission recurrence, one input at a time.
+
+    Holds one pipeline's admission state -- the cycle each shard
+    finished its previous input (``prev_finish``), the cycle each
+    (src, dst) link frees up (``link_free``), the optional fault hooks,
+    and the completion cycle of every input admitted so far
+    (``finishes``).  :meth:`admit` applies the timing law documented on
+    :func:`streaming_schedule` to one more input; that function, the
+    fleet dispatcher, the failover engine, the async runtime and the
+    fast model's fleet pricing all admit through this one class.
+
+    ``finishes`` never decreases: every shard starts an input at or
+    after it finished the previous one, and occupancies are
+    non-negative, so each shard's finish -- and hence their maximum --
+    is monotone in admission order.  That is what lets
+    :meth:`in_flight` count by bisection.
+    """
+
+    def __init__(
+        self,
+        num_shards: int,
+        transfers: Sequence[TransferEdge],
+        link: InterChipConfig,
+        service_time=None,
+        link_time=None,
+    ):
+        self.prev_finish = [0] * num_shards
+        self.link_free: Dict[Tuple[int, int], int] = {}
+        self.service_time = service_time
+        self.link_time = link_time
+        self.finishes: List[int] = []
+        # Outbound transfers per shard, in schedule order, with their
+        # hook-free (serialization, latency) cycles.
+        self._outbound = [
+            [
+                (dst, (src, dst), nbytes, link.serialization_cycles(nbytes),
+                 link.transfer_cycles(nbytes))
+                for src, dst, nbytes in transfers if src == k
+            ]
+            for k in range(num_shards)
+        ]
+
+    def admit(
+        self, release: int, row: Sequence[int]
+    ) -> Tuple[List[int], List[int]]:
+        """Admit one input released at ``release`` with shard times ``row``.
+
+        Returns the input's per-shard ``(starts, finishes)``; its
+        completion cycle is appended to :attr:`finishes`.
+        """
+        # Hot path of every serving layer: locals and comparisons
+        # instead of attribute lookups and max() calls.
+        prev_finish = self.prev_finish
+        link_free = self.link_free
+        service_time = self.service_time
+        link_time = self.link_time
+        n = len(prev_finish)
+        arrival = [0] * n
+        if n:
+            arrival[0] = release
+        starts = [0] * n
+        finishes = [0] * n
+        for k in range(n):
+            start = arrival[k]
+            if prev_finish[k] > start:
+                start = prev_finish[k]
+            occupancy = row[k]
+            if service_time is not None:
+                occupancy = service_time(k, start, occupancy)
+            finish = start + occupancy
+            starts[k] = start
+            finishes[k] = finish
+            for dst, key, nbytes, ser, lat in self._outbound[k]:
+                depart = link_free.get(key, 0)
+                if finish > depart:
+                    depart = finish
+                if link_time is not None:
+                    ser, lat = link_time(k, dst, depart, nbytes)
+                link_free[key] = depart + ser
+                if depart + lat > arrival[dst]:
+                    arrival[dst] = depart + lat
+        self.prev_finish = finishes
+        self.finishes.append(max(finishes) if n else 0)
+        return starts, finishes
+
+    def in_flight(self, now: int) -> int:
+        """Admitted inputs still in service after cycle ``now``."""
+        return len(self.finishes) - bisect_right(self.finishes, now)
+
+
+class _Dispatcher:
+    """The fleet's replica-choice rule over per-replica pipeline states.
+
+    ``"rr"`` rotates over the candidate replicas (input ``i`` to replica
+    ``i % R`` while every replica is a candidate); ``"jsq"`` joins the
+    candidate with the fewest in-flight inputs at the choice cycle,
+    ties to the lowest index.  :meth:`admit` then books the input on
+    the chosen replica's :class:`PipelineState`, no earlier than that
+    replica's ``load_offsets`` entry (a resident-weights replica cannot
+    serve before its weight-load phase completes).  The offline fleet,
+    the failover engine, the async runtime and the fast model all route
+    through this class, so their choices agree bit for bit.
+    """
+
+    def __init__(
+        self,
+        policy: str,
+        states: Sequence[PipelineState],
+        row: Sequence[int],
+        load_offsets: Optional[Sequence[int]] = None,
+    ):
+        self.check_policy(policy)
+        self.policy = policy
+        self.states = list(states)
+        self.row = list(row)
+        self.load_offsets = (
+            [int(o) for o in load_offsets] if load_offsets is not None
+            else [0] * len(self.states)
+        )
+        self._everyone = list(range(len(self.states)))
+        self._cursor = 0
+
+    @staticmethod
+    def check_policy(policy: str) -> None:
+        if policy not in FLEET_POLICIES:
+            raise ConfigError(
+                f"unknown dispatch policy {policy!r}; expected one of "
+                f"{FLEET_POLICIES}"
+            )
+
+    def choose(self, now: int, candidates: Sequence[int]) -> int:
+        """The replica, among ``candidates``, that takes an input at ``now``.
+
+        ``candidates`` lists replica indices in ascending order.
+        """
+        if self.policy == "jsq":
+            choice, fewest = candidates[0], None
+            for r in candidates:
+                depth = self.states[r].in_flight(now)
+                if depth == 0:
+                    return r
+                if fewest is None or depth < fewest:
+                    choice, fewest = r, depth
+            return choice
+        choice = candidates[self._cursor % len(candidates)]
+        self._cursor += 1
+        return choice
+
+    def admit(self, replica: int, ready: int) -> Tuple[int, int, int]:
+        """Book one input on ``replica``: ``(dispatch, start, finish)``.
+
+        ``dispatch`` is ``ready`` clamped to the replica's load offset,
+        ``start`` the shard-0 service entry and ``finish`` the
+        completion cycle.
+        """
+        dispatch = max(ready, self.load_offsets[replica])
+        state = self.states[replica]
+        starts, _ = state.admit(dispatch, self.row)
+        return dispatch, starts[0], state.finishes[-1]
+
+    def route(self, release: int) -> Tuple[int, int, int, int]:
+        """Choose among every replica and admit: ``(replica, dispatch,
+        start, finish)``."""
+        replica = self.choose(release, self._everyone)
+        return (replica,) + self.admit(replica, release)
 
 
 def streaming_schedule(
@@ -105,41 +282,16 @@ def streaming_schedule(
         if any(r < 0 for r in releases):
             raise SimulationError("release cycles must be >= 0")
     n = len(batch_chip_cycles[0]) if batch_chip_cycles else 0
-    link_free: Dict[Tuple[int, int], int] = {}
-    prev_finish = [0] * n
+    state = PipelineState(n, transfers, link, service_time, link_time)
     all_starts: List[List[int]] = []
     all_finishes: List[List[int]] = []
-    input_finishes: List[int] = []
     for index, chip_cycles in enumerate(batch_chip_cycles):
-        arrival = [0] * n
-        if releases is not None and n:
-            arrival[0] = releases[index]
-        starts = [0] * n
-        finishes = [0] * n
-        for k in range(n):
-            starts[k] = max(arrival[k], prev_finish[k])
-            occupancy = chip_cycles[k]
-            if service_time is not None:
-                occupancy = service_time(k, starts[k], occupancy)
-            finishes[k] = starts[k] + occupancy
-            for src, dst, nbytes in transfers:
-                if src != k:
-                    continue
-                depart = max(finishes[k], link_free.get((src, dst), 0))
-                if link_time is None:
-                    ser = link.serialization_cycles(nbytes)
-                    lat = link.transfer_cycles(nbytes)
-                else:
-                    ser, lat = link_time(src, dst, depart, nbytes)
-                link_free[(src, dst)] = depart + ser
-                arrive = depart + lat
-                arrival[dst] = max(arrival[dst], arrive)
-        prev_finish = finishes
+        release = releases[index] if releases is not None else 0
+        starts, finishes = state.admit(release, chip_cycles)
         all_starts.append(starts)
         all_finishes.append(finishes)
-        input_finishes.append(max(finishes) if finishes else 0)
-    makespan = max(input_finishes) if input_finishes else 0
-    return all_starts, all_finishes, input_finishes, makespan
+    makespan = max(state.finishes) if state.finishes else 0
+    return all_starts, all_finishes, state.finishes, makespan
 
 
 def pipeline_schedule(

@@ -22,11 +22,12 @@ import pytest
 
 import repro
 from repro.config import small_test_arch
-from repro.errors import FaultError
+from repro.errors import ConfigError, FaultError
 from repro.faults import (
     DROP_DEADLINE,
     DROP_MAX_ATTEMPTS,
     DROP_NO_REPLICA,
+    FailoverEngine,
     FaultPlan,
     LinkDegrade,
     ReplicaCrash,
@@ -37,7 +38,7 @@ from repro.faults import (
     run_fault_schedule,
     save_fault_plan,
 )
-from repro.serve import Fleet
+from repro.serve import FLEET_POLICIES, Fleet
 from repro.sim.fastmodel import serve_fleet
 
 MODEL_KW = dict(input_size=8, num_classes=10)
@@ -347,17 +348,49 @@ class TestEmptyPlanDegeneracy:
         )
         assert empty.to_dict() == plain.to_dict()
 
-    def test_fastmodel_serve_fleet_degeneracy(self, march):
+    @pytest.mark.parametrize("policy", FLEET_POLICIES)
+    def test_fastmodel_serve_fleet_degeneracy(self, march, policy):
         from repro.explore import evaluate_fast
 
         base = evaluate_fast("tiny_mlp", march, "generic", 8, 10).report
-        releases = [0] * 6
-        plain = serve_fleet(base, releases, march.interchip, 3)
+        c = base.cycles
+        # jsq sends the last request to replica 0 (one in flight, like
+        # every replica), rr to replica 2: the two policies diverge.
+        releases = [0, 0, c // 2, c, c, c]
+        routes = {
+            p: run_fault_schedule(
+                releases, [c], [], march.interchip, 3, p
+            ).assignments
+            for p in FLEET_POLICIES
+        }
+        assert routes["rr"] != routes["jsq"]
+        plain = serve_fleet(base, releases, march.interchip, 3, policy=policy)
         forced = serve_fleet(
             base, releases, march.interchip, 3,
-            faults=FaultPlan(), retry=RetryPolicy(),
+            faults=FaultPlan(), retry=RetryPolicy(), policy=policy,
         )
         assert forced.to_dict() == plain.to_dict()
+
+
+class TestPolicyValidation:
+    """Every dispatch entry point rejects a policy it does not know."""
+
+    @pytest.mark.parametrize("faults", [None, FaultPlan()])
+    def test_serve_fleet_rejects_unknown_policy(self, march, faults):
+        from repro.explore import evaluate_fast
+
+        base = evaluate_fast("tiny_mlp", march, "generic", 8, 10).report
+        with pytest.raises(ConfigError, match="unknown dispatch policy"):
+            serve_fleet(
+                base, [0, 0], march.interchip, 2, faults=faults,
+                policy="JSQ",
+            )
+
+    def test_fault_engine_rejects_unknown_policy(self, march):
+        with pytest.raises(ConfigError, match="unknown dispatch policy"):
+            run_fault_schedule([0], [10], [], march.interchip, 2, "JSQ")
+        with pytest.raises(ConfigError, match="unknown dispatch policy"):
+            FailoverEngine([10], [], march.interchip, 2, policy="random")
 
 
 # ---------------------------------------------------------------------------

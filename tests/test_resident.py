@@ -165,6 +165,39 @@ class TestCrashFailover:
         assert after.makespan_cycles > warm.makespan_cycles
 
 
+class TestResidentJsq:
+    """JSQ counts a cold replica's weight-load phase as occupancy."""
+
+    def test_second_request_avoids_busy_replica(self):
+        import asyncio
+
+        from repro import VirtualClock
+
+        def fleet():
+            return Fleet(
+                "weight_stream", replicas=2, policy="jsq",
+                resident_weights=True,
+            )
+
+        row, _ = fleet()._service_profile()
+        # Replica 0 still serves request 0 at the second release (its
+        # service starts after the load phase), replica 1 is idle.
+        releases = [0, sum(row) + 1]
+        offline = fleet().run_trace(releases, validate=False)
+        assert offline.assignments == [0, 1]
+
+        async def live():
+            clock = VirtualClock()
+            handle = await fleet().serve_forever(clock=clock, validate=False)
+            for release in releases:
+                clock.advance_to(release)
+                await handle.submit(at=release)
+            return await handle.drain()
+
+        # drain() raises if the live admissions diverge from offline.
+        assert asyncio.run(live()).to_dict() == offline.to_dict()
+
+
 class TestArtifactRejection:
     @pytest.mark.parametrize("tier", ["cyclesim", "fast"])
     def test_artifact_cannot_open_resident_session(self, march, tier,
