@@ -9,6 +9,10 @@ The scheme is the standard fixed-point one used by INT8 inference stacks:
 32-bit accumulators are requantised by ``clip((acc * qmul) >> qshift)``
 with a per-operator multiplier/shift pair; nonlinearities act on the int8
 domain through 256-entry lookup tables.
+
+Every int8 x int8 contraction (CIM MVMs, convolution and GEMM in the
+golden model) goes through :func:`int8_matmul`, which runs on float BLAS
+yet returns exactly the int32 result -- see :func:`exact_float_dtype`.
 """
 
 import math
@@ -16,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 I8_MIN, I8_MAX = -128, 127
+
+#: Largest magnitude of one int8 x int8 product: (-128) * (-128).
+_PRODUCT_MAX = 1 << 14
 
 #: Quantized representation constants for the activation LUTs: int8 code x
 #: represents the real value x / ACT_SCALE.
@@ -63,6 +72,34 @@ def requantize(acc: np.ndarray, params: QuantParams) -> np.ndarray:
     """int32 accumulators -> int8 activations (arithmetic right shift)."""
     acc = acc.astype(np.int64)
     return saturate_i8((acc * params.qmul) >> params.qshift)
+
+
+def exact_float_dtype(k: int) -> type:
+    """Float dtype whose int8 contractions of depth ``k`` are exact.
+
+    Each product has magnitude at most 2^14, so every partial sum -- in
+    any BLAS blocking, thread split or FMA order -- is an integer of
+    magnitude at most ``k * 2^14``.  float32 holds every integer up to
+    2^24 (so ``k <= 1024``), float64 every integer up to 2^53.  From
+    ``k >= 2^17`` on the int32 accumulator itself could wrap, so such a
+    contraction has no exact int32 result to reproduce and is refused.
+    """
+    if k * _PRODUCT_MAX <= 1 << 24:
+        return np.float32
+    if k < 1 << 17:
+        return np.float64
+    raise SimulationError(
+        f"int8 contraction of depth {k} can overflow its int32 accumulator"
+    )
+
+
+def int8_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Exact int32 ``x @ w`` of int8-valued operands.
+
+    ``w`` is already held in ``exact_float_dtype(w.shape[-2])``; ``x`` is
+    cast to it.  The result equals the int32 matmul bit for bit.
+    """
+    return (x.astype(w.dtype) @ w).astype(np.int32)
 
 
 def _lut(fn) -> np.ndarray:

@@ -72,10 +72,13 @@ from repro.graph.quantize import (
     QuantParams,
     apply_lut,
     cmul_i8,
+    exact_float_dtype,
+    int8_matmul,
     requantize,
     saturate_i8,
 )
 from repro.isa import Opcode
+from repro.sim.core import _configure_tile
 from repro.sim.noc import GLOBAL_PORT
 
 Op = Opcode
@@ -428,7 +431,7 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.w("    _x = lm[_a:_a + _n]")
         em.w("else:")
         em.w("    _x = mem.read(cid, _a, _n)")
-        em.w("mgs[_g] = (_x.reshape(_rw, _cl).astype(np.int32), _rw, _cl)")
+        em.w("mgs[_g] = (_x.reshape(_rw, _cl).astype(xfd(_rw)), _rw, _cl)")
         em.issue("cim", "_rw + LLT", deps=(rs, rt))
         em.w("t_clb += _n; t_lr += _n")
         em.tallies.update(("t_clb", "t_lr"))
@@ -437,10 +440,7 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.w(f"_g = r[{rt}]")
         em.w("_rw = s[2]")
         em.w("_cl = s[3]")
-        em.w("_e = mgs[_g]")
-        em.w("if _e is None: raise SimulationError("
-             "f\"core {cid}: CIM_CFG on empty MG {_g}\")")
-        em.w("mgs[_g] = (_e[0], _rw, _cl)")
+        em.w("cfg(core.core_id, mgs, _g, _rw, _cl)")
         em.issue("cim", "1", deps=(rt,))
     elif op == int(Op.CIM_MVM):
         em.uses.update(("mem", "cim"))
@@ -451,10 +451,10 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.w("_w, _rw, _cl = _e")
         em.w(f"_a = r[{rs}]")
         em.w("if 0 <= _a and _a + _rw <= LSZ:")
-        em.w("    _x = lm[_a:_a + _rw].astype(np.int32)")
+        em.w("    _x = lm[_a:_a + _rw]")
         em.w("else:")
-        em.w("    _x = mem.read(cid, _a, _rw).astype(np.int32)")
-        em.w("_v = _x @ _w[:_rw, :_cl]")
+        em.w("    _x = mem.read(cid, _a, _rw)")
+        em.w("_v = i8mm(_x, _w[:_rw, :_cl])")
         em.w(f"_o = r[{re}]")
         if flags & 1:
             em.w("_n4 = 4 * _cl")
@@ -462,8 +462,8 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
             em.w("    _v = _v + lm[_o:_o + _n4].view(np.int32)")
             em.w("else:")
             em.w("    _v = _v + mem.read_i32(cid, _o, _cl)")
-        # _v is already int32 (int32 @ int32, plus int32 accumulate) and
-        # freshly allocated, so the interpreter's astype copy is skipped.
+        # _v is already int32 (int8_matmul, plus int32 accumulate) and
+        # freshly allocated, so no further copy is needed.
         em.w("if 0 <= _o and _o + 4 * _cl <= LSZ:")
         em.w("    lm[_o:_o + 4 * _cl] = _v.view(np.int8)")
         em.w("else:")
@@ -728,6 +728,9 @@ _EXEC_GLOBALS = {
     "saturate_i8": saturate_i8,
     "apply_lut": apply_lut,
     "cmul_i8": cmul_i8,
+    "xfd": exact_float_dtype,
+    "i8mm": int8_matmul,
+    "cfg": _configure_tile,
     "SILU_LUT": SILU_LUT,
     "SIGMOID_LUT": SIGMOID_LUT,
     "RELU6_CLIP": RELU6_CLIP,
@@ -2243,9 +2246,7 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
         elif tag == "cimload":
             _, sb, ss, rows, cols, mg = op
             data = read(sb, ss, rows * cols)
-            # Kept int8: the MVM handler casts to int32 before its einsum
-            # accumulates, so values match the interpreter's int32 store.
-            mats = np.ascontiguousarray(data).reshape(m, rows, cols)
+            mats = data.astype(exact_float_dtype(rows)).reshape(m, rows, cols)
             vmgs[mg] = mats
             mg_final[mg] = (mats, rows, cols)
         elif tag == "mvm":
@@ -2258,15 +2259,10 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
                     raise _Bail()
             vec = read(vb, vs, rows)
             if virt:
-                # int32 wraparound addition is associative, so einsum's
-                # accumulation order matches sequential MVMs bit-exactly.
-                res = np.einsum(
-                    "mr,mrc->mc",
-                    vec.astype(np.int32),
-                    mats.astype(np.int32),
-                )
+                # One (1, rows) @ (rows, cols) product per iteration.
+                res = int8_matmul(vec[:, None, :], mats)[:, 0, :]
             else:
-                res = vec.astype(np.int32) @ entry[0][:rows, :cols]
+                res = int8_matmul(vec, entry[0][:rows, :cols])
             if flags & 1:
                 if os_ == 0:
                     # Loop-carried accumulation into one row: forward it
@@ -2284,7 +2280,7 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
                 else:
                     prev = read(ob, os_, 4 * cols)
                     res = res + as_i32(prev)
-            res = np.ascontiguousarray(res.astype(np.int32))
+            res = np.ascontiguousarray(res, dtype=np.int32)
             out.append((ob, os_, 4 * cols, res.view(np.int8)))
         elif tag == "qnt":
             _, ab, as_, n, db, ds, qmul, qshift = op
@@ -2361,7 +2357,8 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
     # Phase B: flush in op order.
     for mg, shape in mg_final.items():
         mats, rows, cols = shape
-        mgs[mg] = (mats[-1].astype(np.int32), rows, cols)
+        # Copied so the committed tile does not pin all ``m`` of them.
+        mgs[mg] = (mats[-1].copy(), rows, cols)
     for b, s, l, arr in out:
         if s == 0:
             lm[b:b + l] = arr[-1]

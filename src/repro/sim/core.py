@@ -27,6 +27,8 @@ from repro.graph.quantize import (
     SILU_LUT,
     apply_lut,
     cmul_i8,
+    exact_float_dtype,
+    int8_matmul,
     requantize,
     saturate_i8,
     QuantParams,
@@ -492,22 +494,42 @@ def _h_cim_load(core: Core, t) -> None:
         )
     nbytes = rows * cols
     data = core._mem().read(core.core_id, core.regs[rs], nbytes)
-    matrix = data.reshape(rows, cols).astype(np.int32)
+    # Tiles are held in the float dtype that keeps their MVMs exact.
+    matrix = data.reshape(rows, cols).astype(exact_float_dtype(rows))
     core.mgs[mg] = (matrix, rows, cols)
     start, _ = core._issue("cim", rows + core._local_lat, deps=(rs, rt))
     core.chip.acct.cim_load(nbytes)
     core.pc += 1
 
 
+def _configure_tile(core_id: int, mgs: list, mg: int, rows: int,
+                    cols: int) -> None:
+    """``CIM_CFG``: narrow macro group ``mg`` to ``rows x cols`` of its tile.
+
+    Shared by both engines.  The window must lie inside the loaded tile,
+    which also keeps every MVM within the row bound its dtype was chosen
+    for.
+    """
+    if not 0 <= mg < len(mgs):
+        raise SimulationError(f"core {core_id}: macro group {mg} out of range")
+    entry = mgs[mg]
+    if entry is None:
+        raise SimulationError(f"core {core_id}: CIM_CFG on empty MG {mg}")
+    tile_rows, tile_cols = entry[0].shape
+    if not (0 < rows <= tile_rows and 0 < cols <= tile_cols):
+        raise SimulationError(
+            f"core {core_id}: CIM_CFG rows={rows} cols={cols} outside the "
+            f"{tile_rows}x{tile_cols} tile of MG {mg}"
+        )
+    mgs[mg] = (entry[0], rows, cols)
+
+
 def _h_cim_cfg(core: Core, t) -> None:
     rt = t[2]
-    mg = core.regs[rt]
-    rows = core.sregs[int(SReg.MVM_ROWS)]
-    cols = core.sregs[int(SReg.MVM_COLS)]
-    entry = core.mgs[mg]
-    if entry is None:
-        raise SimulationError(f"core {core.core_id}: CIM_CFG on empty MG {mg}")
-    core.mgs[mg] = (entry[0], rows, cols)
+    _configure_tile(
+        core.core_id, core.mgs, core.regs[rt],
+        core.sregs[int(SReg.MVM_ROWS)], core.sregs[int(SReg.MVM_COLS)],
+    )
     core._issue("cim", 1, deps=(rt,))
     core.pc += 1
 
@@ -522,12 +544,12 @@ def _h_cim_mvm(core: Core, t) -> None:
         )
     matrix, rows, cols = entry
     mem = core._mem()
-    vec = mem.read(core.core_id, core.regs[rs], rows).astype(np.int32)
-    result = vec @ matrix[:rows, :cols]
+    vec = mem.read(core.core_id, core.regs[rs], rows)
+    result = int8_matmul(vec, matrix[:rows, :cols])
     out_addr = core.regs[re]
     if flags & 1:
         result = result + mem.read_i32(core.core_id, out_addr, cols)
-    mem.write_i32(core.core_id, out_addr, result.astype(np.int32))
+    mem.write_i32(core.core_id, out_addr, result)
     core._issue(
         "cim", core._mvm_latency, occupancy=core._mvm_interval,
         deps=(rs, rt, re),

@@ -21,6 +21,8 @@ from repro.graph.quantize import (
     add_i8,
     apply_lut,
     cmul_i8,
+    exact_float_dtype,
+    int8_matmul,
     requantize,
 )
 
@@ -51,10 +53,10 @@ def _conv(op: Operator, x: np.ndarray) -> np.ndarray:
     k, s, p = op.attrs["kernel"], op.attrs["stride"], op.attrs["padding"]
     windows = _window_view(x, k, s, p, 0)
     out_h, out_w = windows.shape[:2]
-    cols = windows.reshape(out_h * out_w, -1).astype(np.int32)
-    c_in = x.shape[2]
-    matrix = op.weight.reshape(k * k * c_in, -1).astype(np.int32)
-    acc = cols @ matrix
+    cols = windows.reshape(out_h * out_w, -1)
+    depth = k * k * x.shape[2]
+    matrix = op.weight.reshape(depth, -1).astype(exact_float_dtype(depth))
+    acc = int8_matmul(cols, matrix)
     acc = acc + op.bias.astype(np.int32)[None, :]
     out = requantize(acc, op.qparams)
     return out.reshape(out_h, out_w, -1)
@@ -74,8 +76,8 @@ def _dwconv(op: Operator, x: np.ndarray) -> np.ndarray:
 
 
 def _gemm(op: Operator, x: np.ndarray) -> np.ndarray:
-    vec = x.reshape(-1).astype(np.int32)
-    acc = vec @ op.weight.astype(np.int32)
+    matrix = op.weight.astype(exact_float_dtype(op.weight.shape[0]))
+    acc = int8_matmul(x.reshape(-1), matrix)
     acc = acc + op.bias.astype(np.int32)
     return requantize(acc, op.qparams)
 
